@@ -162,12 +162,14 @@ func (b *CollectionBatch) logPoints(vs []*sparse.Vector) []kernel.Point {
 
 // rankScratch is one pooled per-query scoring arena: two shard-sized score
 // lanes (decision values, log-modality values or kernel accumulation
-// buffers) and a reusable bounded top-K selector. Arenas live in the
+// buffers), a reusable bounded top-K selector and the selectors of the
+// streaming unlabeled selection. Arenas live in the
 // collection batch's pool; a steady-state query borrows one, scores through
 // it and returns it without allocating.
 type rankScratch struct {
 	lanes [2][]float64
 	sel   topKSelector
+	draft draftSelectors
 	// view is a reusable DenseSet header for the candidate-restricted lane,
 	// so slicing a run of candidates out of a shard allocates nothing.
 	view *kernel.DenseSet

@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
@@ -89,6 +90,13 @@ func (ctx *QueryContext) Validate(needLog bool) error {
 		if len(ctx.LogVectors) != n {
 			return fmt.Errorf("core: log vectors (%d) do not cover the collection (%d images)", len(ctx.LogVectors), n)
 		}
+		// An image without judgments has an empty log vector, never a nil
+		// one: the scoring path reads every column.
+		for i, v := range ctx.LogVectors {
+			if v == nil {
+				return fmt.Errorf("core: image %d has a nil log vector", i)
+			}
+		}
 	}
 	if len(ctx.Labeled) == 0 {
 		return fmt.Errorf("core: no labeled examples")
@@ -107,13 +115,15 @@ func (ctx *QueryContext) Validate(needLog bool) error {
 // NumImages returns the collection size.
 func (ctx *QueryContext) NumImages() int { return len(ctx.Visual) }
 
-// labeledSet returns the labeled indices as a set for quick membership tests.
-func (ctx *QueryContext) labeledSet() map[int]bool {
-	set := make(map[int]bool, len(ctx.Labeled))
-	for _, ex := range ctx.Labeled {
-		set[ex.Index] = true
+// labeledIndices returns the distinct labeled image indices in ascending
+// order.
+func (ctx *QueryContext) labeledIndices() []int {
+	indices := make([]int, len(ctx.Labeled))
+	for i, ex := range ctx.Labeled {
+		indices[i] = ex.Index
 	}
-	return set
+	slices.Sort(indices)
+	return slices.Compact(indices)
 }
 
 // visualPoints returns the visual descriptors of the given image indices as
