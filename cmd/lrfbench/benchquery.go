@@ -525,8 +525,8 @@ func runQueryBench(exp *eval.Experiment, profile, outPath string) error {
 
 	// The pure ranking path (no per-round training): Euclidean probes
 	// rotating across query images, so every operation pays the real
-	// steady-state cost of serving a new user instead of a warm
-	// distance-row cache. This pair is the allocs/op acceptance comparison.
+	// steady-state cost of serving a new user. This pair is the allocs/op
+	// acceptance comparison.
 	full := measure(report, "ranking-path/euclidean/fullsort", func(b *testing.B) {
 		ctx := fixedCtx()
 		b.ReportAllocs()

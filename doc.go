@@ -20,7 +20,10 @@
 // Collection scoring runs over fixed-size shards (kernel.ShardedSet): each
 // shard is a self-contained slab of flat row-major storage with precomputed
 // row norms, scored independently by workers pulling shard ranges from a
-// queue. The final ranking streams through bounded per-shard top-K heaps
+// queue. The shards are the engine's only copy of the visual rows: training
+// points and query vectors are views into them, and neither the engine nor
+// the collection batch retains the descriptors it was built from. The final
+// ranking streams through bounded per-shard top-K heaps
 // (core.TopKRanker / core.TopK, O(n log K)) merged under the strict
 // descending-score, ascending-index order, so results are bit-identical to
 // a full stable sort for every shard size and worker count. Per-query score

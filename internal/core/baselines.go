@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/svm"
 )
 
@@ -23,13 +22,14 @@ func (Euclidean) Rank(ctx *QueryContext) ([]float64, error) {
 	if err := validateEuclidean(ctx); err != nil {
 		return nil, err
 	}
-	dist, err := queryDistances(ctx, ctx.collectionBatch())
-	if err != nil {
+	b := ctx.collectionBatch()
+	q := b.queryVector(ctx.Query)
+	scores := make([]float64, b.Len())
+	forEachRange(ctx.Ctx, b.VisualSet(), ctx.workers(), func(sub *kernel.DenseSet, lo int) {
+		scoreDistanceRange(q, sub, scores[lo:lo+sub.Len()])
+	})
+	if err := ctxErr(ctx.Ctx); err != nil {
 		return nil, err
-	}
-	scores := make([]float64, ctx.NumImages())
-	for i := range scores {
-		scores[i] = -dist[i]
 	}
 	return scores, nil
 }
@@ -48,18 +48,19 @@ func (Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked
 		return nil, err
 	}
 	b := ctx.collectionBatch()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
+	q := b.queryVector(ctx.Query)
 	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
 		scoreDistanceRange(q, sub, dst)
 	})
 }
 
 func validateEuclidean(ctx *QueryContext) error {
-	if len(ctx.Visual) == 0 {
+	n := ctx.NumImages()
+	if n == 0 {
 		return fmt.Errorf("core: query context has no images")
 	}
-	if ctx.Query < 0 || ctx.Query >= len(ctx.Visual) {
-		return fmt.Errorf("core: query index %d out of range [0,%d)", ctx.Query, len(ctx.Visual))
+	if ctx.Query < 0 || ctx.Query >= n {
+		return fmt.Errorf("core: query index %d out of range [0,%d)", ctx.Query, n)
 	}
 	return nil
 }
@@ -185,7 +186,7 @@ func (RFSVM) Name() string { return "RF-SVM" }
 func (s RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
 	opts := s.Options.withDefaults(ctx, batch)
 	indices, labels := labeledSplit(ctx)
-	model, err := trainModality(ctx.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
+	model, err := trainModality(batch.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
 	if err != nil {
 		return nil, fmt.Errorf("core: RF-SVM training: %w", err)
 	}
@@ -247,7 +248,7 @@ func (LRF2SVMs) Name() string { return "LRF-2SVMs" }
 func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visualModel, logModel *svm.Model, err error) {
 	opts := s.Options.withDefaults(ctx, batch)
 	indices, labels := labeledSplit(ctx)
-	visualModel, err = trainModality(ctx.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
+	visualModel, err = trainModality(batch.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs visual training: %w", err)
 	}

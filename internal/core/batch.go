@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
@@ -42,9 +42,19 @@ const DefaultShardSize = kernel.DefaultShardSize
 // experiments do) and attach it to each QueryContext; schemes fall back to a
 // transient one per Rank call when the context carries none. All methods are
 // safe for concurrent use.
+//
+// The sharded store is the batch's only copy of the visual rows: every row
+// a scheme reads — training points, query vectors, scored ranges — is a view
+// into it, and the batch retains nothing of the descriptors it was built
+// from beyond the identity its stale-batch guard compares (see matches).
 type CollectionBatch struct {
-	src []linalg.Vector // the collection the batch was built from
 	set *kernel.ShardedSet
+	// first is a weak pointer to the first element of the first descriptor
+	// the batch was built from (nil for an empty collection); with the length
+	// it identifies the source collection in O(1). Being weak, it never keeps
+	// the caller's descriptors alive, and a collection allocated later at the
+	// same address never compares equal to it.
+	first weak.Pointer[float64]
 
 	vkOnce sync.Once
 	vk     kernel.Kernel
@@ -55,14 +65,6 @@ type CollectionBatch struct {
 	logMu  sync.Mutex
 	logSrc []*sparse.Vector
 	logPts []kernel.Point
-
-	// distMu guards a one-entry cache of the query-to-collection distance
-	// row. Interactive sessions re-rank the same query across feedback
-	// rounds (and the prior is added to every SVM ranking), so the last
-	// query's distances are the ones asked for again.
-	distMu    sync.Mutex
-	distQuery int
-	dist      []float64
 
 	// scratch pools per-query scoring arenas (see rankScratch); steady-state
 	// queries reuse them instead of allocating shard-sized buffers.
@@ -81,40 +83,49 @@ func NewCollectionBatch(visual []linalg.Vector) *CollectionBatch {
 // bit-identical for every shard size; the knob trades per-worker cache
 // residency against scheduling granularity.
 func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *CollectionBatch {
-	return &CollectionBatch{src: visual, set: kernel.NewShardedSet(visual, shardSize)}
+	return &CollectionBatch{set: kernel.NewShardedSet(visual, shardSize), first: firstElement(visual)}
 }
 
-// Grow returns a CollectionBatch extended to cover visual: the receiver's
-// source collection plus descriptors appended after it (the prefix must be
-// the same collection; only the length grows). The sharded store grows
-// copy-on-write through kernel.ShardedSet.Grow — full shards are shared and
-// only the tail shard is rebuilt — so row norms are computed only for the
-// appended descriptors and in-flight queries against the receiver are never
-// disturbed. The default-kernel bandwidth is re-estimated lazily over the
-// full grown collection — the evenly spaced subsample of the estimator is
-// deterministic, so the grown batch's kernel is identical to a from-scratch
-// batch over the same collection. The query-distance and log-point caches
-// start empty: their shapes track the collection size.
-func (b *CollectionBatch) Grow(visual []linalg.Vector) *CollectionBatch {
-	if len(visual) < len(b.src) {
-		panic(fmt.Sprintf("core: Grow shrinks the collection from %d to %d images", len(b.src), len(visual)))
+// firstElement returns a weak pointer to the first element of the first
+// descriptor, or the nil weak pointer when there is none.
+func firstElement(visual []linalg.Vector) weak.Pointer[float64] {
+	if len(visual) == 0 || len(visual[0]) == 0 {
+		return weak.Pointer[float64]{}
 	}
-	if len(b.src) > 0 && &visual[0][0] != &b.src[0][0] {
-		panic("core: Grow with a different collection prefix")
-	}
-	return &CollectionBatch{src: visual, set: b.set.Grow(visual[len(b.src):])}
+	return weak.Make(&visual[0][0])
 }
 
-// matches reports whether the batch was built from exactly this collection
-// slice. Length alone is not enough — a batch built over a different
-// same-size collection would silently score against stale descriptors — so
-// the identity of the source slice is compared too.
+// Grow returns a CollectionBatch covering the receiver's collection followed
+// by added, which are copied; the receiver is left untouched. The sharded
+// store grows copy-on-write through kernel.ShardedSet.Grow — full shards are
+// shared and only the tail shard is rebuilt — so row norms are computed only
+// for the appended descriptors and in-flight queries against the receiver
+// are never disturbed. The default-kernel bandwidth is re-estimated lazily
+// over the full grown collection — the evenly spaced subsample of the
+// estimator is deterministic, so the grown batch's kernel is identical to a
+// from-scratch batch over the same collection. The log-point cache starts
+// empty: its shape tracks the collection size. The grown batch keeps the
+// receiver's source identity, so it matches the caller's collection slice
+// once that slice has been extended by the same descriptors.
+func (b *CollectionBatch) Grow(added []linalg.Vector) *CollectionBatch {
+	first := b.first
+	if b.set.Len() == 0 {
+		first = firstElement(added)
+	}
+	return &CollectionBatch{set: b.set.Grow(added), first: first}
+}
+
+// matches reports whether the batch was built from this collection slice:
+// the same length and the same first descriptor storage. Length alone is not
+// enough — a batch built over a different same-size collection would
+// silently score against stale descriptors — and the check is O(1) because
+// the batch keeps no reference to the rest of its source.
 func (b *CollectionBatch) matches(visual []linalg.Vector) bool {
-	if len(b.src) != len(visual) {
-		return false
-	}
-	return len(visual) == 0 || &b.src[0] == &visual[0]
+	return len(visual) == b.set.Len() && firstElement(visual) == b.first
 }
+
+// Len returns the number of images in the collection.
+func (b *CollectionBatch) Len() int { return b.set.Len() }
 
 // VisualSet returns the sharded flat visual collection store.
 func (b *CollectionBatch) VisualSet() *kernel.ShardedSet { return b.set }
@@ -123,10 +134,15 @@ func (b *CollectionBatch) VisualSet() *kernel.ShardedSet { return b.set }
 // of the visual collection for the approximate scan lane. The quantization
 // depends only on the collection, so the copy is shared by every query on
 // the batch; Grow produces a new batch and therefore a fresh quantization
-// covering the appended images.
+// covering the appended images. The quantizer reads the rows through
+// transient views into the sharded store.
 func (b *CollectionBatch) QuantizedVisualSet() *kernel.QuantizedSet {
 	b.qsOnce.Do(func() {
-		b.qs = kernel.NewQuantizedSet(b.src)
+		rows := make([]linalg.Vector, b.set.Len())
+		for i := range rows {
+			rows[i] = linalg.Vector(b.set.Point(i))
+		}
+		b.qs = kernel.NewQuantizedSet(rows)
 	})
 	return b.qs
 }
@@ -137,9 +153,25 @@ func (b *CollectionBatch) QuantizedVisualSet() *kernel.QuantizedSet {
 // score.
 func (b *CollectionBatch) defaultVisualKernel() kernel.Kernel {
 	b.vkOnce.Do(func() {
-		b.vk = kernel.RBF{Gamma: visualGammaScale * kernel.EstimateRBFGamma(b.set.Points(), gammaSample)}
+		b.vk = kernel.RBF{Gamma: visualGammaScale * kernel.EstimateRBFGammaSet(b.set, gammaSample)}
 	})
 	return b.vk
+}
+
+// visualPoints returns the visual descriptors of the given image indices as
+// kernel points: views into the sharded store, never copies.
+func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
+	out := make([]kernel.Point, len(indices))
+	for i, idx := range indices {
+		out[i] = b.set.Point(idx)
+	}
+	return out
+}
+
+// queryVector returns the query image's descriptor as a view into the
+// sharded store.
+func (b *CollectionBatch) queryVector(query int) linalg.Vector {
+	return linalg.Vector(b.set.Point(query))
 }
 
 // logPoints wraps the per-image log vectors as kernel points, memoized per
@@ -195,10 +227,11 @@ func (b *CollectionBatch) scratchGet() *rankScratch {
 // scratchPut returns a borrowed arena to the pool.
 func (b *CollectionBatch) scratchPut(s *rankScratch) { b.scratch.Put(s) }
 
-// collectionBatch returns the context's attached CollectionBatch when it
-// matches the collection, or builds a transient one.
+// collectionBatch returns the context's attached CollectionBatch when the
+// context names no descriptors or the batch matches them, and otherwise
+// builds a transient one over ctx.Visual.
 func (ctx *QueryContext) collectionBatch() *CollectionBatch {
-	if ctx.Batch != nil && ctx.Batch.matches(ctx.Visual) {
+	if ctx.Batch != nil && (ctx.Visual == nil || ctx.Batch.matches(ctx.Visual)) {
 		return ctx.Batch
 	}
 	return NewCollectionBatch(ctx.Visual)
@@ -401,78 +434,41 @@ func rankCoupled(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *s
 // rankTopVisual is the streaming counterpart of rankVisual followed by the
 // query prior and top-k selection, appending into dst.
 func rankTopVisual(ctx *QueryContext, b *CollectionBatch, model *svm.Model, k int, dst []Ranked) ([]Ranked, error) {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return nil, err
-	}
+	q := b.queryVector(ctx.Query)
 	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
 		sc := b.scratchGet()
 		model.DecisionSet(sub, dst, sc.lane(1, sub.Len()))
 		b.scratchPut(sc)
-		for i := range dst {
-			dst[i] -= queryPriorWeight * dist[lo+i]
-		}
+		subtractQueryPrior(b, q, sub, dst)
 	})
 }
 
 // rankTopCoupled is the streaming counterpart of rankCoupled followed by the
 // query prior and top-k selection, appending into dst.
 func rankTopCoupled(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, k int, dst []Ranked) ([]Ranked, error) {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return nil, err
-	}
+	q := b.queryVector(ctx.Query)
 	logPts := b.logPoints(ctx.LogVectors)
 	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
 		scoreCoupledRange(b, visualModel, logModel, logPts, sub, lo, dst)
-		for i := range dst {
-			dst[i] -= queryPriorWeight * dist[lo+i]
-		}
+		subtractQueryPrior(b, q, sub, dst)
 	})
 }
 
-// queryDistances returns the Euclidean distances from the query image to
-// every image of the collection, computed through the sharded batch path and
-// cached per query (the last query's row is kept — feedback rounds re-rank
-// the same query). Callers must not mutate the returned slice. Distances use
-// the norm-expansion batch path (one matrix-vector product per shard against
-// the precomputed row norms); EXPERIMENTS.md documents the O(1e-15)
-// per-score drift and the unchanged MAP metrics.
-func queryDistances(ctx *QueryContext, b *CollectionBatch) ([]float64, error) {
-	b.distMu.Lock()
-	if b.dist != nil && b.distQuery == ctx.Query {
-		dst := b.dist
-		b.distMu.Unlock()
-		return dst, nil
+// queryDistanceRange writes the Euclidean distance from q to every row of
+// one shard range into dst, through the norm-expansion batch path (one
+// matrix-vector product against the precomputed row norms; EXPERIMENTS.md
+// documents the O(1e-15) per-score drift and the unchanged MAP metrics).
+// Each row's distance depends on that row alone, so scoring range by range
+// is bit-identical to one pass over the whole collection.
+func queryDistanceRange(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
+	sub.Matrix().RowSquaredDistancesNormInto(dst, q, sub.Norms())
+	for i := range dst {
+		dst[i] = math.Sqrt(dst[i])
 	}
-	b.distMu.Unlock()
-
-	set := b.VisualSet()
-	q := linalg.Vector(set.Point(ctx.Query))
-	dst := make([]float64, set.Len())
-	forEachRange(ctx.Ctx, set, ctx.workers(), func(sub *kernel.DenseSet, lo int) {
-		out := dst[lo : lo+sub.Len()]
-		sub.Matrix().RowSquaredDistancesNormInto(out, q, sub.Norms())
-		for i := range out {
-			out[i] = math.Sqrt(out[i])
-		}
-	})
-	if err := ctxErr(ctx.Ctx); err != nil {
-		// A cancelled scan leaves unscored ranges zero-filled; caching the
-		// partial row would corrupt every later query for the same image.
-		return nil, err
-	}
-
-	b.distMu.Lock()
-	b.distQuery = ctx.Query
-	b.dist = dst
-	b.distMu.Unlock()
-	return dst, nil
 }
 
 // scoreDistanceRange writes the negative Euclidean distance of one shard
-// range into dst — the Euclidean scheme's score, computed without touching
-// the full-row cache so streaming queries stay allocation-free.
+// range into dst — the Euclidean scheme's score.
 func scoreDistanceRange(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
 	sub.Matrix().RowSquaredDistancesNormInto(dst, q, sub.Norms())
 	for i := range dst {
@@ -480,16 +476,26 @@ func scoreDistanceRange(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
 	}
 }
 
-// addQueryPriorBatch adds the initial-similarity prior to scores in place
-// through the batched, per-query-cached distance row; see queryPriorWeight
-// for the rationale.
+// subtractQueryPrior applies the initial-similarity prior (see
+// queryPriorWeight) to one shard range's scores in place. The range's query
+// distances are computed into a pooled scratch lane, so the prior costs no
+// collection-sized memory.
+func subtractQueryPrior(b *CollectionBatch, q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
+	sc := b.scratchGet()
+	dist := sc.lane(0, sub.Len())
+	queryDistanceRange(q, sub, dist)
+	for i := range dst {
+		dst[i] -= queryPriorWeight * dist[i]
+	}
+	b.scratchPut(sc)
+}
+
+// addQueryPriorBatch applies the initial-similarity prior to a full score
+// slice in place, range by range across the context's workers.
 func addQueryPriorBatch(scores []float64, ctx *QueryContext, b *CollectionBatch) error {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return err
-	}
-	for i := range scores {
-		scores[i] -= queryPriorWeight * dist[i]
-	}
-	return nil
+	q := b.queryVector(ctx.Query)
+	forEachRange(ctx.Ctx, b.VisualSet(), ctx.workers(), func(sub *kernel.DenseSet, lo int) {
+		subtractQueryPrior(b, q, sub, scores[lo:lo+sub.Len()])
+	})
+	return ctxErr(ctx.Ctx)
 }

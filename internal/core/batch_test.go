@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestCollectionBatchReused(t *testing.T) {
 	}
 	// A different collection of the same size must be rejected too: scores
 	// would otherwise be computed against stale descriptors.
-	sameLen := NewCollectionBatch(append([]linalg.Vector(nil), coll.visual...))
+	sameLen := NewCollectionBatch(deepCopy(coll.visual))
 	ctx.Batch = sameLen
 	if got := ctx.collectionBatch(); got == sameLen {
 		t.Error("batch over a different same-length collection must not be reused")
@@ -176,9 +177,8 @@ func TestCollectionBatchGrowParity(t *testing.T) {
 	prefix := 22
 	grown := NewCollectionBatch(col.visual[:prefix:prefix])
 	// Grow in two steps to exercise chained grows.
-	mid := col.visual[:26:26]
-	grown = grown.Grow(mid)
-	grown = grown.Grow(col.visual)
+	grown = grown.Grow(col.visual[prefix:26])
+	grown = grown.Grow(col.visual[26:])
 	rebuilt := NewCollectionBatch(col.visual)
 
 	for _, scheme := range []Scheme{Euclidean{}, RFSVM{}, LRF2SVMs{}, LRFCSVM{}} {
@@ -202,15 +202,42 @@ func TestCollectionBatchGrowParity(t *testing.T) {
 	}
 }
 
+// TestCollectionBatchGrowRejectsDifferentPrefix verifies a grown batch keeps
+// the identity of the collection it was first built from: a context naming
+// that collection reuses it, while a same-size collection with a different
+// prefix is rejected and ranked through a transient batch instead.
 func TestCollectionBatchGrowRejectsDifferentPrefix(t *testing.T) {
 	col := makeCollection(t, 2, 6, 10, 0, 5)
-	b := NewCollectionBatch(col.visual[:8:8])
-	defer func() {
-		if recover() == nil {
-			t.Fatal("growing onto a different collection did not panic")
-		}
-	}()
-	other := append([]linalg.Vector(nil), col.visual...)
-	other[0] = append(linalg.Vector(nil), other[0]...)
-	b.Grow(other)
+	b := NewCollectionBatch(col.visual[:8:8]).Grow(col.visual[8:])
+	ctx := col.queryContext(1, 4)
+	ctx.Batch = b
+	if got := ctx.collectionBatch(); got != b {
+		t.Fatal("grown batch not reused for the collection it was grown over")
+	}
+	other := deepCopy(col.visual)
+	other[0][0] += 1
+	ctx.Visual = other
+	if got := ctx.collectionBatch(); got == b {
+		t.Fatal("grown batch reused for a collection with a different prefix")
+	}
+	scores, err := (Euclidean{}).Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (Euclidean{}).Rank(&QueryContext{Visual: other, Query: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(scores, want) {
+		t.Fatal("ranking with a rejected batch differs from ranking the context's own collection")
+	}
+}
+
+// deepCopy copies every descriptor of a collection into fresh storage.
+func deepCopy(vs []linalg.Vector) []linalg.Vector {
+	out := make([]linalg.Vector, len(vs))
+	for i, v := range vs {
+		out[i] = append(linalg.Vector(nil), v...)
+	}
+	return out
 }

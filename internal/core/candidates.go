@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/linalg"
 )
 
 // This file is the candidate-restricted twin of the streaming selection path
@@ -216,7 +215,7 @@ func (Euclidean) RankTopCandidates(ctx *QueryContext, cands CandidateSet, k int,
 		return nil, err
 	}
 	b := ctx.collectionBatch()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
+	q := b.queryVector(ctx.Query)
 	return rankTopCandidates(ctx, b, cands, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
 		scoreDistanceRange(q, sub, dst)
 	})

@@ -117,7 +117,7 @@ func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CS
 	// score with initial label -1 (Fig. 1, step 1, the discussion in
 	// Section 6.5, and the log-assisted selection of Hoi & Lyu ACM-MM'04;
 	// see selectDrafts).
-	visualInit, logInit, err := initialModels(ctx, p, labeledIdx, labels)
+	visualInit, logInit, err := initialModels(ctx, batch, p, labeledIdx, labels)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -131,8 +131,8 @@ func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CS
 			Name:      "visual",
 			Kernel:    p.VisualKernel,
 			C:         p.Cw,
-			Labeled:   ctx.visualPoints(labeledIdx),
-			Unlabeled: ctx.visualPoints(unlabeledIdx),
+			Labeled:   batch.visualPoints(labeledIdx),
+			Unlabeled: batch.visualPoints(unlabeledIdx),
 		},
 		{
 			Name:      "log",
@@ -148,10 +148,10 @@ func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CS
 // initialModels trains step 1's per-modality SVMs on the labeled data only.
 // The two trainings are independent, so with Coupled.Workers > 1 they run
 // concurrently (bit-identical to the sequential order).
-func initialModels(ctx *QueryContext, p CSVMParams, labeledIdx []int, labels []float64) (visualInit, logInit *svm.Model, err error) {
+func initialModels(ctx *QueryContext, b *CollectionBatch, p CSVMParams, labeledIdx []int, labels []float64) (visualInit, logInit *svm.Model, err error) {
 	err = forEachModality(2, p.Coupled.Workers, func(m int) error {
 		if m == 0 {
-			model, err := trainModality(ctx.visualPoints(labeledIdx), labels, p.Cw, p.VisualKernel, perModalitySolverConfig(p.Coupled.Solver))
+			model, err := trainModality(b.visualPoints(labeledIdx), labels, p.Cw, p.VisualKernel, perModalitySolverConfig(p.Coupled.Solver))
 			if err != nil {
 				return fmt.Errorf("core: LRF-CSVM visual init: %w", err)
 			}

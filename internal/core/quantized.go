@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"lrfcsvm/internal/linalg"
 )
 
 // This file is the quantized scan lane of the Euclidean scheme: a full
@@ -59,7 +57,7 @@ func (e Euclidean) RankTopQuantized(ctx *QueryContext, k, oversample int, dst []
 		m = n
 	}
 
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
+	q := b.queryVector(ctx.Query)
 	sc := b.scratchGet()
 	sel := &sc.sel
 	sel.reset(m)

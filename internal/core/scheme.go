@@ -34,6 +34,11 @@ type LabeledExample struct {
 // features.Normalizer); log vectors come from feedbacklog.Log.
 type QueryContext struct {
 	// Visual holds the visual descriptor of every image in the collection.
+	// It is optional when Batch is set: schemes read every row through the
+	// batch's sharded store, and Visual only serves to build a transient
+	// batch when Batch is nil or does not match it (a batch built over a
+	// different collection is never used). A long-lived server passes Batch
+	// alone, so it keeps no second copy of the collection.
 	Visual []linalg.Vector
 	// LogVectors holds the user-log relevance vector of every image. It may
 	// be nil for schemes that do not use the log (Euclidean, RF-SVM).
@@ -48,7 +53,7 @@ type QueryContext struct {
 	Workers int
 	// Batch optionally carries collection-level precomputation (flat
 	// visual storage, kernel estimates) shared across the queries hitting
-	// one collection. Nil makes each Rank call precompute transiently.
+	// one collection. Nil makes each Rank call index Visual transiently.
 	Batch *CollectionBatch
 	// Ctx optionally carries the caller's cancellation context. The sharded
 	// scoring path checks it between shard ranges and the SMO solver checks
@@ -79,7 +84,7 @@ func ctxErr(ctx context.Context) error {
 
 // Validate checks structural consistency of the context.
 func (ctx *QueryContext) Validate(needLog bool) error {
-	n := len(ctx.Visual)
+	n := ctx.NumImages()
 	if n == 0 {
 		return fmt.Errorf("core: query context has no images")
 	}
@@ -112,8 +117,15 @@ func (ctx *QueryContext) Validate(needLog bool) error {
 	return nil
 }
 
-// NumImages returns the collection size.
-func (ctx *QueryContext) NumImages() int { return len(ctx.Visual) }
+// NumImages returns the size of the collection the context ranks: the
+// attached batch's when Visual is nil, len(Visual) otherwise (a batch is only
+// used when it matches Visual, so the two agree whenever both are set).
+func (ctx *QueryContext) NumImages() int {
+	if ctx.Visual == nil && ctx.Batch != nil {
+		return ctx.Batch.Len()
+	}
+	return len(ctx.Visual)
+}
 
 // labeledIndices returns the distinct labeled image indices in ascending
 // order.
@@ -124,16 +136,6 @@ func (ctx *QueryContext) labeledIndices() []int {
 	}
 	slices.Sort(indices)
 	return slices.Compact(indices)
-}
-
-// visualPoints returns the visual descriptors of the given image indices as
-// kernel points.
-func (ctx *QueryContext) visualPoints(indices []int) []kernel.Point {
-	out := make([]kernel.Point, len(indices))
-	for i, idx := range indices {
-		out[i] = kernel.Dense(ctx.Visual[idx])
-	}
-	return out
 }
 
 // logPoints returns the log vectors of the given image indices as kernel

@@ -232,7 +232,7 @@ func TestSelectDraftsMatchesFullSortOracle(t *testing.T) {
 					ctx.Batch = NewShardedCollectionBatch(ctx.Visual, shardSize)
 					p := DefaultCSVMParams().withDefaults(&ctx, ctx.Batch)
 					labeledIdx, labels := labeledSplit(&ctx)
-					visualInit, logInit, err := initialModels(&ctx, p, labeledIdx, labels)
+					visualInit, logInit, err := initialModels(&ctx, ctx.Batch, p, labeledIdx, labels)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -315,7 +315,7 @@ func TestTrainingProblemMatchesFullSortOracle(t *testing.T) {
 		params.NumUnlabeled = fx.num
 		p := params.withDefaults(&ctx, ctx.Batch)
 		labeledIdx, wantLabels := labeledSplit(&ctx)
-		visualInit, logInit, err := initialModels(&ctx, p, labeledIdx, wantLabels)
+		visualInit, logInit, err := initialModels(&ctx, ctx.Batch, p, labeledIdx, wantLabels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestTrainingProblemMatchesFullSortOracle(t *testing.T) {
 		if !slices.Equal(labels, wantLabels) || !slices.Equal(initial, wantInitial) {
 			t.Errorf("%s: labels %v initial %v, want %v %v", fx.name, labels, initial, wantLabels, wantInitial)
 		}
-		if !reflect.DeepEqual(modalities[0].Unlabeled, ctx.visualPoints(wantIdx)) ||
+		if !reflect.DeepEqual(modalities[0].Unlabeled, ctx.Batch.visualPoints(wantIdx)) ||
 			!reflect.DeepEqual(modalities[1].Unlabeled, ctx.logPoints(wantIdx)) {
 			t.Errorf("%s: unlabeled points differ from the full-sort selection %v", fx.name, wantIdx)
 		}

@@ -118,8 +118,7 @@ func BenchmarkRankingPathEuclidean(b *testing.B) {
 }
 
 // BenchmarkRankingPathRFSVM measures the visual-model ranking stage with a
-// pretrained model and a warm distance cache (feedback rounds re-rank the
-// same query), isolating scoring + prior + selection.
+// pretrained model, isolating scoring + prior + selection.
 func BenchmarkRankingPathRFSVM(b *testing.B) {
 	coll, mono, sharded := benchSetup(b)
 	ctx := coll.queryContext(3, 10)
@@ -133,9 +132,6 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = mono
-		if _, err := queryDistances(ctx, mono); err != nil {
-			b.Fatal(err)
-		} // warm the per-query distance row
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -152,9 +148,6 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = sharded
-		if _, err := queryDistances(ctx, sharded); err != nil {
-			b.Fatal(err)
-		}
 		buf := make([]Ranked, 0, benchK)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -173,7 +166,7 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 
 // BenchmarkRankingPathCoupled measures the two-modality ranking stage (the
 // scoring pass shared by LRF-2SVMs and LRF-CSVM's final retrieval step)
-// with pretrained models and a warm distance cache.
+// with pretrained models.
 func BenchmarkRankingPathCoupled(b *testing.B) {
 	coll, mono, sharded := benchSetup(b)
 	ctx := coll.queryContext(3, 10)
@@ -187,9 +180,6 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = mono
-		if _, err := queryDistances(ctx, mono); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -206,9 +196,6 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = sharded
-		if _, err := queryDistances(ctx, sharded); err != nil {
-			b.Fatal(err)
-		}
 		buf := make([]Ranked, 0, benchK)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -37,7 +37,7 @@ func benchCoupledSetup(b *testing.B) (modalities []Modality, labels, initial []f
 		}
 	}
 	modalities = []Modality{
-		{Name: "visual", Kernel: p.VisualKernel, C: p.Cw, Labeled: ctx.visualPoints(labeledIdx), Unlabeled: ctx.visualPoints(unlabeledIdx)},
+		{Name: "visual", Kernel: p.VisualKernel, C: p.Cw, Labeled: batch.visualPoints(labeledIdx), Unlabeled: batch.visualPoints(unlabeledIdx)},
 		{Name: "log", Kernel: p.LogKernel, C: p.Cu, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
 	}
 	return modalities, labels, initial, p.Coupled

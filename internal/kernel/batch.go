@@ -289,7 +289,6 @@ func (k Sigmoid) EvalBatch(x Point, ys []Point, dst []float64) {
 type DenseSet struct {
 	mat   *linalg.Matrix
 	norms linalg.Vector
-	pts   []Point
 }
 
 // NewDenseSet copies the given vectors into flat row-major storage and
@@ -297,11 +296,7 @@ type DenseSet struct {
 func NewDenseSet(vs []linalg.Vector) *DenseSet {
 	m := linalg.FromRows(vs)
 	norms := m.RowSquaredNorms(make(linalg.Vector, m.Rows))
-	pts := make([]Point, m.Rows)
-	for i := range pts {
-		pts[i] = Dense(m.Row(i))
-	}
-	return &DenseSet{mat: m, norms: norms, pts: pts}
+	return &DenseSet{mat: m, norms: norms}
 }
 
 // Len returns the number of points in the set.
@@ -318,8 +313,15 @@ func (s *DenseSet) Matrix() *linalg.Matrix { return s.mat }
 func (s *DenseSet) Norms() linalg.Vector { return s.norms }
 
 // Points returns the set as kernel points (views into the flat storage).
-// Callers must not mutate the returned slice.
-func (s *DenseSet) Points() []Point { return s.pts }
+// The set keeps no per-row headers, so the views are built on every call;
+// hot paths read rows through Point or the set kernels instead.
+func (s *DenseSet) Points() []Point {
+	pts := make([]Point, s.Len())
+	for i := range pts {
+		pts[i] = s.Point(i)
+	}
+	return pts
+}
 
 // Point returns point i as a view into the flat storage.
 func (s *DenseSet) Point(i int) Dense { return Dense(s.mat.Row(i)) }
@@ -335,7 +337,6 @@ func (s *DenseSet) Slice(lo, hi int) *DenseSet {
 	return &DenseSet{
 		mat:   &linalg.Matrix{Rows: hi - lo, Cols: c, Data: s.mat.Data[lo*c : hi*c]},
 		norms: s.norms[lo:hi],
-		pts:   s.pts[lo:hi],
 	}
 }
 
@@ -358,7 +359,6 @@ func (s *DenseSet) SliceInto(view *DenseSet, lo, hi int) *DenseSet {
 	c := s.mat.Cols
 	view.mat.Rows, view.mat.Cols, view.mat.Data = hi-lo, c, s.mat.Data[lo*c:hi*c]
 	view.norms = s.norms[lo:hi]
-	view.pts = s.pts[lo:hi]
 	return view
 }
 
@@ -367,9 +367,9 @@ func (s *DenseSet) SliceInto(view *DenseSet, lo, hi int) *DenseSet {
 // concurrent readers: growing reuses the receiver's storage when the backing
 // arrays have spare capacity — writes then land only in rows past the
 // receiver's length — and reallocates (leaving the receiver on the old
-// arrays) otherwise. Row norms and point views are computed only for the
-// appended rows, so a grow costs O(len(vs)·dim) plus an amortized O(1)
-// storage move, not a full O(n·dim) rebuild.
+// arrays) otherwise. Row norms are computed only for the appended rows, so
+// a grow costs O(len(vs)·dim) plus an amortized O(1) storage move, not a
+// full O(n·dim) rebuild.
 //
 // Because spare capacity is shared along the chain of grown sets, only the
 // most recently grown set may be grown again, and Grow calls must be
@@ -387,8 +387,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 			panic(fmt.Sprintf("kernel: Grow vector of dimension %d into set of dimension %d", len(v), cols))
 		}
 	}
-	oldData := s.mat.Data
-	data := oldData
+	data := s.mat.Data
 	for _, v := range vs {
 		data = append(data, v...)
 	}
@@ -406,22 +405,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 		norms = append(norms, sum)
 	}
 
-	var pts []Point
-	if &oldData[0] != &data[0] {
-		// The append moved the storage: rebuild the point views against the
-		// new array so the old one is not pinned once the receiver dies.
-		// O(n) header writes, amortized away by the doubling growth.
-		pts = make([]Point, 0, mat.Rows)
-		for i := 0; i < mat.Rows; i++ {
-			pts = append(pts, Dense(data[i*cols:(i+1)*cols]))
-		}
-	} else {
-		pts = s.pts
-		for i := s.mat.Rows; i < mat.Rows; i++ {
-			pts = append(pts, Dense(data[i*cols:(i+1)*cols]))
-		}
-	}
-	return &DenseSet{mat: mat, norms: norms, pts: pts}
+	return &DenseSet{mat: mat, norms: norms}
 }
 
 // SetKernel is a kernel with a specialized evaluation of one dense point

@@ -224,6 +224,7 @@ func TestDenseSetGrowMatchesRebuild(t *testing.T) {
 	if set.Len() != want.Len() || set.Dim() != want.Dim() {
 		t.Fatalf("grown set %dx%d, want %dx%d", set.Len(), set.Dim(), want.Len(), want.Dim())
 	}
+	pts := set.Points()
 	for i := 0; i < want.Len(); i++ {
 		if set.Norms()[i] != want.Norms()[i] {
 			t.Fatalf("norm %d: grown %v, rebuilt %v", i, set.Norms()[i], want.Norms()[i])
@@ -233,7 +234,7 @@ func TestDenseSetGrowMatchesRebuild(t *testing.T) {
 		if !g.Equal(r, 0) {
 			t.Fatalf("point %d: grown %v, rebuilt %v", i, g, r)
 		}
-		p := linalg.Vector(set.Points()[i].(Dense))
+		p := linalg.Vector(pts[i].(Dense))
 		if !p.Equal(r, 0) {
 			t.Fatalf("point view %d: grown %v, rebuilt %v", i, p, r)
 		}

@@ -180,20 +180,34 @@ func DefaultRBF(dim int) RBF {
 // which the coupled SVM's summed distances assume. A degenerate collection
 // (all points identical) falls back to gamma = 1.
 func EstimateRBFGamma(points []Point, sample int) float64 {
-	if len(points) < 2 {
+	return meanDistanceGamma(len(points), sample, func(i int) Point { return points[i] })
+}
+
+// EstimateRBFGammaSet is EstimateRBFGamma over the rows of a sharded set:
+// only the subsampled rows are read, as views into the shard storage, so no
+// per-row view of the whole collection is built. The subsample indices and
+// the arithmetic are EstimateRBFGamma's, so the estimate is bit-identical.
+func EstimateRBFGammaSet(set *ShardedSet, sample int) float64 {
+	return meanDistanceGamma(set.Len(), sample, func(i int) Point { return set.Point(i) })
+}
+
+// meanDistanceGamma is the bandwidth heuristic over n points read through
+// point.
+func meanDistanceGamma(n, sample int, point func(i int) Point) float64 {
+	if n < 2 {
 		return 1
 	}
 	if sample < 2 {
 		sample = 2
 	}
 	// Evenly spaced subsample.
-	step := len(points) / sample
+	step := n / sample
 	if step < 1 {
 		step = 1
 	}
 	var sub []Point
-	for i := 0; i < len(points) && len(sub) < sample; i += step {
-		sub = append(sub, points[i])
+	for i := 0; i < n && len(sub) < sample; i += step {
+		sub = append(sub, point(i))
 	}
 	var sum float64
 	var count int

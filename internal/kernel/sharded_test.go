@@ -70,13 +70,12 @@ func TestShardedSetLayout(t *testing.T) {
 			}
 		}
 	}
-	pts := s.Points()
-	if len(pts) != 23 {
-		t.Fatalf("Points returned %d points", len(pts))
-	}
-	for i, p := range pts {
-		if &p.(Dense)[0] != &s.Point(i)[0] {
-			t.Fatalf("Points()[%d] is not a view of point %d", i, i)
+	// Point is a view into its shard's storage, not a copy: the shards are
+	// the set's only row store.
+	for i := range vs {
+		shard := s.Shard(i / 8)
+		if &s.Point(i)[0] != &shard.Matrix().Data[(i%8)*5] {
+			t.Fatalf("Point(%d) is not a view of its shard row", i)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (e *Engine) annCandidates(ep *epoch, query int) (core.CandidateSet, bool) {
 		return core.CandidateSet{}, false
 	}
 	covered := st.idx.Len()
-	if covered > len(ep.visual) {
+	if covered > ep.batch.Len() {
 		return core.CandidateSet{}, false
 	}
 	q := linalg.Vector(ep.batch.VisualSet().Point(query))
@@ -164,7 +164,7 @@ func (e *Engine) maybeRebuildANN() {
 		return
 	}
 	ep := e.cur.Load()
-	n := len(ep.visual)
+	n := ep.batch.Len()
 	if n < e.opts.ANN.MinCollection {
 		return
 	}
@@ -190,7 +190,7 @@ func (e *Engine) maybeRebuildANN() {
 // a slow stale build finishing after a newer one is discarded.
 func (e *Engine) rebuildANN() {
 	ep := e.cur.Load()
-	idx, err := kernel.BuildCentroidIndex(e.baseCtx, ep.batch.VisualSet(), e.annConfig(len(ep.visual)))
+	idx, err := kernel.BuildCentroidIndex(e.baseCtx, ep.batch.VisualSet(), e.annConfig(ep.batch.Len()))
 	if err != nil {
 		return // cancelled at shutdown; the old index (if any) stays live
 	}

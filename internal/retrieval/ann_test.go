@@ -145,7 +145,8 @@ func TestANNBackgroundRebuildFoldsTail(t *testing.T) {
 	}
 
 	// The rebuilt index still answers exactly when probing everything.
-	exact, err := NewEngine(append([]linalg.Vector(nil), e.cur.Load().visual...), nil, Options{})
+	snap, _ := e.Snapshot()
+	exact, err := NewEngine(snap, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"lrfcsvm/internal/core"
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
@@ -104,14 +105,13 @@ const (
 	DefaultMaxPendingRefines = 64
 )
 
-// epoch is one immutable snapshot of the indexed collection: the visual
-// descriptors and the collection-level precomputation built over them.
-// Ingesting images publishes a new epoch; queries started against an older
-// epoch keep ranking its (still valid) snapshot, so ingestion never blocks
-// or corrupts an in-flight ranking.
+// epoch is one immutable snapshot of the indexed collection: the
+// collection batch, whose sharded store is the engine's only copy of the
+// visual descriptors. Ingesting images publishes a new epoch; queries
+// started against an older epoch keep ranking its (still valid) snapshot,
+// so ingestion never blocks or corrupts an in-flight ranking.
 type epoch struct {
-	visual []linalg.Vector
-	batch  *core.CollectionBatch
+	batch *core.CollectionBatch
 }
 
 // Engine is the retrieval engine. It is safe for concurrent use: queries and
@@ -165,7 +165,9 @@ type Engine struct {
 
 // NewEngine builds an engine over a collection of visual descriptors and an
 // existing feedback log (which may be empty but must cover the same
-// collection).
+// collection). The descriptors are copied into the engine's sharded store
+// and the engine does not retain visual: the caller may mutate or drop it
+// afterwards without affecting any ranking.
 func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Engine, error) {
 	if len(visual) == 0 {
 		return nil, fmt.Errorf("retrieval: empty collection")
@@ -176,10 +178,6 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if log.NumImages() != len(visual) {
 		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), len(visual))
 	}
-	// Detach from the caller's slice: the engine appends to its current
-	// epoch's slice when ingesting, which must never collide with a caller
-	// holding (and growing) the original.
-	visual = append([]linalg.Vector(nil), visual...)
 	if opts.TrainWorkers <= 0 {
 		opts.TrainWorkers = DefaultTrainWorkers
 	}
@@ -199,7 +197,7 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	//cbirlint:ignore ctxflow engine lifecycle root: baseCtx parents all background work and Close cancels it
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	e.epochSeq.Store(1)
-	e.cur.Store(&epoch{visual: visual, batch: core.NewShardedCollectionBatch(visual, opts.ShardSize)})
+	e.cur.Store(&epoch{batch: core.NewShardedCollectionBatch(visual, opts.ShardSize)})
 	// Build the initial candidate-generation index synchronously so a
 	// pruning-enabled engine never serves a cold start with a worse plan
 	// than it was configured for; later growth folds in via background
@@ -227,7 +225,7 @@ func (e *Engine) Close() {
 }
 
 // NumImages returns the current collection size.
-func (e *Engine) NumImages() int { return len(e.cur.Load().visual) }
+func (e *Engine) NumImages() int { return e.cur.Load().batch.Len() }
 
 // Epoch returns the current collection epoch sequence number: 1 for the
 // initial collection, incremented by every published ingestion.
@@ -300,16 +298,12 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 		}
 	}
 	old := e.cur.Load()
-	first := len(old.visual)
-	// Plain append keeps the grow amortized: when it extends in place only
-	// elements past the previous epoch's length are written, and when it
-	// reallocates the previous epoch keeps the old backing array — either
-	// way readers of the old epoch are never disturbed. Mutations are
-	// serialized by e.mu, so only the latest epoch's slice is ever appended
-	// to.
-	visual := append(old.visual, added...)
+	first := old.batch.Len()
+	// The batch grows copy-on-write, so readers of the old epoch are never
+	// disturbed. Mutations are serialized by e.mu, so only the latest
+	// epoch's batch is ever grown.
 	e.log.GrowImages(len(added))
-	e.cur.Store(&epoch{visual: visual, batch: old.batch.Grow(visual)})
+	e.cur.Store(&epoch{batch: old.batch.Grow(added)})
 	e.epochSeq.Add(1)
 	// The new images land in the unindexed tail of the pruned query path
 	// (always scanned exactly); fold them into the index in the background
@@ -320,7 +314,9 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 
 // Snapshot returns a mutually consistent copy of the collection's visual
 // descriptors and the feedback log, suitable for persisting while the engine
-// keeps serving and ingesting (see package storage's snapshot format).
+// keeps serving and ingesting (see package storage's snapshot format). The
+// descriptors are an independent copy in one flat block, built on each call
+// and not retained by the engine: mutating them changes no ranking.
 func (e *Engine) Snapshot() ([]linalg.Vector, *feedbacklog.Log) {
 	return e.SnapshotWith(nil)
 }
@@ -331,16 +327,36 @@ func (e *Engine) Snapshot() ([]linalg.Vector, *feedbacklog.Log) {
 // journaled under the same lock, so no record can land between the mark and
 // the copy. It satisfies storage.SnapshotSource.
 func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
+	ep, log := e.captureState(mark)
+	// An epoch's rows are immutable, so they are copied outside the lock.
+	return copyRows(ep.batch.VisualSet()), log
+}
+
+// captureState pins the current epoch and clones the log under the mutation
+// lock, invoking a non-nil mark first (see SnapshotWith).
+func (e *Engine) captureState(mark func()) (*epoch, *feedbacklog.Log) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if mark != nil {
 		mark()
 	}
-	ep := e.cur.Load()
-	// The descriptor vectors themselves are immutable; copying the headers
-	// detaches the snapshot from the engine's append chain.
-	visual := append([]linalg.Vector(nil), ep.visual...)
-	return visual, e.log.Clone()
+	return e.cur.Load(), e.log.Clone()
+}
+
+// copyRows copies every row of set into one flat block, returned as one
+// vector per row (each capped at its own row, so appending to one never
+// overwrites the next).
+func copyRows(set *kernel.ShardedSet) []linalg.Vector {
+	dim := set.Dim()
+	flat := make([]float64, 0, set.Len()*dim)
+	for si := 0; si < set.NumShards(); si++ {
+		flat = append(flat, set.Shard(si).Matrix().Data...)
+	}
+	rows := make([]linalg.Vector, set.Len())
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
 }
 
 // logColumns returns the per-image log relevance vectors covering at least
@@ -357,7 +373,7 @@ func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
 	e.mu.Unlock()
 	// The log covers every image the engine has ever published, which may
 	// already exceed this epoch's snapshot if an ingestion raced ahead.
-	return cols[:len(ep.visual)]
+	return cols[:ep.batch.Len()]
 }
 
 // InitialQuery returns the top-k images by Euclidean visual similarity to
@@ -380,9 +396,10 @@ func (e *Engine) InitialQueryBatch(ctx context.Context, queries []int, k int) ([
 		return nil, fmt.Errorf("retrieval: empty query batch")
 	}
 	ep := e.cur.Load()
+	n := ep.batch.Len()
 	for _, q := range queries {
-		if q < 0 || q >= len(ep.visual) {
-			return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", q, len(ep.visual))
+		if q < 0 || q >= n {
+			return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", q, n)
 		}
 	}
 	out := make([][]Result, len(queries))
@@ -398,11 +415,10 @@ func (e *Engine) InitialQueryBatch(ctx context.Context, queries []int, k int) ([
 
 // initialQuery ranks one Euclidean probe against a pinned epoch.
 func (e *Engine) initialQuery(stdctx context.Context, ep *epoch, query, k int) ([]Result, error) {
-	if query < 0 || query >= len(ep.visual) {
-		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, len(ep.visual))
+	if n := ep.batch.Len(); query < 0 || query >= n {
+		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, n)
 	}
 	ctx := &core.QueryContext{
-		Visual:  ep.visual,
 		Query:   query,
 		Workers: e.opts.Workers,
 		Batch:   ep.batch,
@@ -526,13 +542,14 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 	}
 
 	ctx := &core.QueryContext{
-		Visual:     ep.visual,
-		LogVectors: s.engine.logColumns(ep),
-		Query:      s.query,
-		Labeled:    labeled,
-		Workers:    s.engine.opts.Workers,
-		Batch:      ep.batch,
-		Ctx:        s.engine.withCloseAware(stdctx),
+		Query:   s.query,
+		Labeled: labeled,
+		Workers: s.engine.opts.Workers,
+		Batch:   ep.batch,
+		Ctx:     s.engine.withCloseAware(stdctx),
+	}
+	if kind.usesLog() {
+		ctx.LogVectors = s.engine.logColumns(ep)
 	}
 	scheme, err := s.engine.scheme(kind)
 	if err != nil {
@@ -609,6 +626,12 @@ func (e *Engine) scheme(kind SchemeKind) (core.Scheme, error) {
 	default:
 		return nil, fmt.Errorf("retrieval: unknown scheme %q", kind)
 	}
+}
+
+// usesLog reports whether the scheme reads the feedback-log columns; the
+// engine builds them only for the schemes that do.
+func (k SchemeKind) usesLog() bool {
+	return k == SchemeLRF2SVMs || k == SchemeLRFCSVM
 }
 
 // ParseScheme maps a user-supplied string to a SchemeKind.

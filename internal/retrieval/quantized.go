@@ -53,7 +53,7 @@ func (e *Engine) QuantizedStats() QuantizedStats {
 	}
 	if st.Enabled {
 		ep := e.cur.Load()
-		st.CodeBytes = int64(len(ep.visual)) * int64(ep.batch.VisualSet().Dim())
+		st.CodeBytes = int64(ep.batch.Len()) * int64(ep.batch.VisualSet().Dim())
 	}
 	return st
 }
